@@ -77,7 +77,7 @@ def full_deserialization(messages):
     from repro.soap.envelope import Envelope
 
     for raw in messages:
-        parse_rpc_request(Envelope.from_string(raw).first_body_entry())
+        parse_rpc_request(Envelope.parse(raw, server=True).first_body_entry())
 
 
 def differential_deserialization(messages):

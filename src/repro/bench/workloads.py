@@ -36,7 +36,7 @@ from repro.http.compression import CompressionPolicy
 from repro.resilience.policy import CallPolicy
 from repro.soap.sercache import ResponseTemplateCache
 from repro.obs.trace import Observability, Tracer
-from repro.server import ServerConfig, build_server
+from repro.server import ServerConfig, SoapServer, build_server
 from repro.server.handlers import HandlerChain
 from repro.soap.wssecurity import Credentials, attach_security_header
 from repro.transport.base import Transport
@@ -72,7 +72,7 @@ class Testbed:
     """A running echo deployment + how to reach it."""
 
     transport: Transport
-    server: object  # CommonSoapServer | StagedSoapServer
+    server: SoapServer
     address: object
     profile: str
     architecture: str

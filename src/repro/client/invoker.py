@@ -14,16 +14,12 @@ is SPI itself: :class:`repro.core.batch.PackedInvoker`.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.client.futures import InvocationFuture
 from repro.client.proxy import ServiceProxy
 from repro.resilience.policy import CallPolicy
-
-# Sentinel distinguishing "timeout not passed" from an explicit None.
-_UNSET = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,26 +52,9 @@ class Invoker:
         raise NotImplementedError
 
     def invoke_all(
-        self,
-        calls: list[Call],
-        policy: CallPolicy | None = None,
-        *,
-        timeout: Any = _UNSET,
+        self, calls: list[Call], policy: CallPolicy | None = None
     ) -> list[Any]:
-        """Run all calls and return their results, in call order.
-
-        ``timeout=`` is the pre-policy spelling; it maps onto
-        ``CallPolicy(timeout=...)`` and will go away.
-        """
-        if timeout is not _UNSET:
-            warnings.warn(
-                "Invoker.invoke_all(timeout=...) is deprecated; pass "
-                "policy=CallPolicy(timeout=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if policy is None and timeout is not None:
-                policy = CallPolicy.from_legacy_timeout(timeout)
+        """Run all calls and return their results, in call order."""
         effective = policy if policy is not None else self.policy
         # the future wait is the whole-call budget: a retrying policy's
         # per-attempt timeout would undercut its own deadline

@@ -1,13 +1,13 @@
 """Server side: services, pools, stages, handler chain, two architectures.
 
-* :class:`CommonSoapServer` — the paper's Figure 1 baseline: protocol
-  and application processing coupled in one thread per connection.
-* :class:`StagedSoapServer` — the paper's Figure 2 contribution
-  substrate: independent protocol and application thread pools, so one
-  SOAP message can drive multiple service operations concurrently.
+:func:`build_server` turns a :class:`ServerConfig` into a
+:class:`SoapServer`; its ``architecture`` picks the paper's Figure 1
+(``"common"``: protocol and application processing coupled in one
+thread per connection) or Figure 2 (``"staged"``: independent protocol
+and application thread pools, so one SOAP message can drive multiple
+service operations concurrently).
 """
 
-from repro.server.common_arch import CommonSoapServer
 from repro.server.config import ServerConfig, build_server
 from repro.server.container import ServiceContainer
 from repro.server.endpoint import SoapEndpoint
@@ -19,12 +19,11 @@ from repro.server.service import (
     service_from_functions,
     service_from_object,
 )
+from repro.server.soap_server import SoapServer
 from repro.server.stage import Stage
-from repro.server.staged_arch import StagedSoapServer
 from repro.server.threadpool import CompletionLatch, TaskFuture, ThreadPool
 
 __all__ = [
-    "CommonSoapServer",
     "CompletionLatch",
     "Handler",
     "HandlerChain",
@@ -34,8 +33,8 @@ __all__ = [
     "ServiceContainer",
     "ServiceDefinition",
     "SoapEndpoint",
+    "SoapServer",
     "Stage",
-    "StagedSoapServer",
     "TaskFuture",
     "ThreadPool",
     "build_server",

@@ -1,13 +1,9 @@
 """One :class:`ServerConfig` + :func:`build_server` for every deployment.
 
-Before this module, standing up a server meant choosing a class
-(:class:`~repro.server.common_arch.CommonSoapServer` /
-:class:`~repro.server.staged_arch.StagedSoapServer`) and threading a
-sprawl of keyword arguments through whichever layers were in between
-(``serve.py`` flags, bench testbeds, test fixtures).  Now every knob —
-architecture, I/O backend, observability, compression, serialization
-cache, SLO budgets, the event-loop's connection/deadline bounds —
-lives in one frozen dataclass, and one facade builds the deployment::
+Every knob — architecture, I/O backend, observability, compression,
+serialization cache, SLO budgets, the event-loop's connection/deadline
+bounds — lives in one frozen dataclass, and one facade builds the
+deployment, a :class:`~repro.server.soap_server.SoapServer`::
 
     from repro.server import ServerConfig, build_server
 
@@ -20,8 +16,9 @@ lives in one frozen dataclass, and one facade builds the deployment::
     with server.running() as address:
         ...
 
-The old constructors still work but warn with ``DeprecationWarning``
-(errors under pytest); see the README migration table.
+``architecture`` is a dispatch policy, not a class: it decides only
+where the request entries run (the protocol thread for ``"common"``,
+the application stage for ``"staged"``).
 """
 
 from __future__ import annotations
@@ -101,11 +98,9 @@ class ServerConfig:
 
 def build_server(config: ServerConfig):
     """The facade: one config in, one ready-to-``start()`` server out."""
-    from repro.server.common_arch import CommonSoapServer
-    from repro.server.staged_arch import StagedSoapServer
+    from repro.server.soap_server import SoapServer
 
-    cls = StagedSoapServer if config.architecture == "staged" else CommonSoapServer
-    return cls(config=config)
+    return SoapServer(config)
 
 
 def build_http_server(app: Callable, config: ServerConfig) -> HttpServerCore:
@@ -164,38 +159,3 @@ def _busy_soap_body() -> tuple[str, bytes]:
         busy_fault("server busy: protocol stage shed the request").to_element()
     )
     return SOAP_CONTENT_TYPE, envelope.to_bytes()
-
-
-def config_from_legacy(
-    architecture: str,
-    services: Sequence[Any] | None,
-    legacy: dict[str, Any],
-) -> ServerConfig:
-    """Map an old-style constructor call onto a :class:`ServerConfig`.
-
-    ``legacy`` keys are exactly the old keyword parameters; unknown
-    keys raise ``TypeError`` like any bad keyword argument would.
-    """
-    allowed = {
-        "transport",
-        "address",
-        "chain",
-        "chunk_responses_over",
-        "observability",
-        "serialization_cache",
-        "compression",
-        "slo_config",
-    }
-    if architecture == "staged":
-        allowed |= {"app_workers", "app_queue_limit"}
-    unknown = set(legacy) - allowed
-    if unknown:
-        raise TypeError(
-            f"unexpected keyword argument(s) for {architecture} server: "
-            f"{sorted(unknown)}"
-        )
-    return ServerConfig(
-        services=list(services) if services is not None else [],
-        architecture=architecture,
-        **legacy,
-    )

@@ -7,7 +7,6 @@ paper's Figure 1; several packed under ``Parallel_Method`` with SPI).
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator
 
 from repro.errors import SoapError
@@ -108,9 +107,6 @@ class Envelope:
         ``server=False`` headers are skipped without namespace
         expansion or Element construction — the client response path,
         which only consumes body entries.
-
-        Replaces ``from_string`` / ``from_string_pull`` /
-        ``from_string_server``, which survive as deprecated aliases.
         """
         envelope = cls()
         if server:
@@ -119,43 +115,6 @@ class Envelope:
         else:
             envelope.body_entries = list(_walk_envelope(source, None))
         return envelope
-
-    # -- deprecated aliases ---------------------------------------------------
-
-    @classmethod
-    def from_string(cls, document: str | bytes) -> "Envelope":
-        """Deprecated alias for :meth:`parse` with ``server=True``.
-
-        (``server=True`` because the historical tree-based parse
-        materialized header entries.)
-        """
-        warnings.warn(
-            "Envelope.from_string is deprecated; use Envelope.parse",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.parse(document, server=True)
-
-    @classmethod
-    def from_string_pull(cls, document: str | bytes) -> "Envelope":
-        """Deprecated alias for :meth:`parse` (headers skipped)."""
-        warnings.warn(
-            "Envelope.from_string_pull is deprecated; use Envelope.parse",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.parse(document)
-
-    @classmethod
-    def from_string_server(cls, document: str | bytes) -> "Envelope":
-        """Deprecated alias for :meth:`parse` with ``server=True``."""
-        warnings.warn(
-            "Envelope.from_string_server is deprecated; use "
-            "Envelope.parse(..., server=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.parse(document, server=True)
 
     def first_body_entry(self) -> Element:
         """The first body entry (the only one, classically)."""

@@ -91,10 +91,20 @@ class TcpListener(Listener):
         return TcpChannel(conn)
 
     def close(self) -> None:
-        """Close the listening socket; idempotent."""
+        """Close the listening socket; idempotent.
+
+        On Linux ``close()`` alone does not wake a thread blocked in
+        ``accept()``; ``shutdown()`` does (the accept fails with EINVAL,
+        which maps to :class:`ListenerClosed` because ``_closed`` is
+        already set).
+        """
         if self._closed:
             return
         self._closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
 

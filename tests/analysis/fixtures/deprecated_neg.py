@@ -1,15 +1,9 @@
-"""Negative fixture: the blessed replacements for every deprecated form."""
+"""Negative fixture: the blessed replacement for every deprecated form."""
 
-from repro.errors import SoapFaultError
-from repro.soap.fault import SoapFault
 from repro.xmlcore import parse
 
 
-def use_everything(envelope_cls, invoker, policy_cls, document):
+def use_everything(envelope_cls, document):
     tree = parse(document)
     envelope = envelope_cls.parse(document, server=True)
-    client_view = envelope_cls.parse(document)
-    results = invoker.invoke_all([], policy_cls(timeout=30))
-    fault = SoapFault("Server", "boom")
-    error = SoapFaultError(fault)
-    return tree, envelope, client_view, results, error
+    return tree, envelope

@@ -4,16 +4,10 @@ Never imported — the analyzer reads it as text, so the imports need
 not resolve.
 """
 
-from repro.errors import SoapFault  # deprecated alias import
-from repro.soap.fault import SoapFaultException  # deprecated import
 from repro.xmlcore.parser import parse  # deprecated import
 
 
-def use_everything(envelope_cls, invoker, errors, document):
+def use_everything(xmlcore, document):
     tree = parse(document)
-    envelope = envelope_cls.from_string(document)  # deprecated alias
-    pulled = envelope_cls.from_string_pull(document)  # deprecated alias
-    served = envelope_cls.from_string_server(document)  # deprecated alias
-    results = invoker.invoke_all([], timeout=30)  # retired kwarg
-    fault = errors.SoapFault("boom")  # deprecated alias chain
-    return tree, envelope, pulled, served, results, fault
+    chained = xmlcore.parser.parse(document)  # deprecated attribute chain
+    return tree, chained

@@ -66,11 +66,6 @@ class TestCallPolicyValidation:
         with pytest.raises(InvocationError):
             CallPolicy(retries=-1)
 
-    def test_hedging_bool_is_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="hedging"):
-            policy = CallPolicy(hedging=True)
-        assert policy.hedge_policy == HedgePolicy()
-
     def test_hedging_accepts_policy(self):
         hedge = HedgePolicy(quantile=0.9, budget_rate=0.02)
         policy = CallPolicy(hedging=hedge)
@@ -80,6 +75,8 @@ class TestCallPolicyValidation:
     def test_hedging_rejects_other_types(self):
         with pytest.raises(InvocationError, match="hedging"):
             CallPolicy(hedging="yes")
+        with pytest.raises(InvocationError, match="hedging"):
+            CallPolicy(hedging=True)
 
     def test_hedge_policy_validation(self):
         with pytest.raises(InvocationError, match="quantile"):
@@ -101,9 +98,6 @@ class TestCallPolicyValidation:
         base = CallPolicy(retries=1)
         bumped = base.with_overrides(retries=3)
         assert base.retries == 1 and bumped.retries == 3
-
-    def test_from_legacy_timeout(self):
-        assert CallPolicy.from_legacy_timeout(30).timeout == 30
 
 
 class TestRetryability:

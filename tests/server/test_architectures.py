@@ -109,6 +109,40 @@ class TestBothArchitectures:
         assert stats["container"]["entries_executed"] == 1
         assert stats["endpoint"]["soap_messages"] == 1
 
+    def test_application_stage_matches_architecture(self, server):
+        srv, transport, address = server
+        stats = srv.stats()
+        if srv.architecture == "common":
+            assert srv.app_stage is None
+            assert "app_stage" not in stats and "app_pool" not in stats
+        else:
+            assert srv.app_stage is not None
+            assert stats["app_stage"]["events"] == 0
+            assert stats["app_pool"]["submitted"] == 0
+
+    @pytest.mark.parametrize("architecture", ["common", "staged"])
+    def test_lifecycle_leaves_no_application_threads(self, architecture):
+        before = set(threading.enumerate())
+
+        def new_stage_threads():
+            return [
+                t for t in threading.enumerate()
+                if t not in before and t.name.startswith("stage-application-")
+            ]
+
+        transport = InProcTransport()
+        srv = build_server(ServerConfig(
+            services=make_services(),
+            architecture=architecture,
+            transport=transport,
+            address=f"threads-{architecture}",
+        ))
+        with srv.running() as address:
+            call(transport, address, build_request_envelope(NS, "echo", {"payload": "x"}))
+            # Fig. 1 never builds the application stage's pool at all
+            assert bool(new_stage_threads()) == (architecture == "staged")
+        assert new_stage_threads() == []
+
 
 class TestStagedConcurrency:
     def test_multi_entry_executes_concurrently(self):

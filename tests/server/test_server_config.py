@@ -1,6 +1,6 @@
-"""The unified ServerConfig API: facade, validation, legacy shims."""
+"""The unified ServerConfig API: facade, validation, lifecycle."""
 
-import warnings
+import time
 
 import pytest
 
@@ -9,9 +9,8 @@ from repro.errors import TransportError
 from repro.http.evented import EventedHttpServer
 from repro.http.server import HttpServer
 from repro.server import ServerConfig, build_server
-from repro.server.common_arch import CommonSoapServer
-from repro.server.staged_arch import StagedSoapServer
 from repro.transport.inproc import InProcTransport
+from repro.transport.tcp import TcpTransport
 
 
 class TestServerConfig:
@@ -42,13 +41,18 @@ class TestServerConfig:
 
 class TestBuildServer:
     def test_architecture_selects_server_class(self):
+        # one class; the architecture selects where entries run
         services = [make_echo_service()]
         staged = build_server(ServerConfig(services=services))
         common = build_server(
             ServerConfig(services=services, architecture="common")
         )
-        assert isinstance(staged, StagedSoapServer)
-        assert isinstance(common, CommonSoapServer)
+        assert type(staged) is type(common)
+        assert staged.architecture == "staged"
+        assert staged.app_stage is not None
+        assert common.architecture == "common"
+        assert common.app_stage is None
+        staged.app_stage.shutdown()
 
     def test_backend_selects_http_class(self):
         services = [make_echo_service()]
@@ -81,8 +85,6 @@ class TestBuildServer:
 
     def test_both_backends_serve_the_full_matrix(self):
         # (architecture x backend) all build; socket backends all start.
-        from repro.transport.tcp import TcpTransport
-
         for architecture in ("common", "staged"):
             for backend in ("threaded", "evented"):
                 server = build_server(ServerConfig(
@@ -95,52 +97,18 @@ class TestBuildServer:
                     assert address[1] > 0
 
 
-class TestLegacyConstructors:
-    def test_staged_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="build_server"):
-            server = StagedSoapServer(
-                [make_echo_service()],
-                transport=InProcTransport(),
-                address="legacy-staged",
-            )
-        assert server.config.architecture == "staged"
-
-    def test_common_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="build_server"):
-            server = CommonSoapServer(
-                [make_echo_service()],
-                transport=InProcTransport(),
-                address="legacy-common",
-            )
-        assert server.config.architecture == "common"
-
-    def test_legacy_kwargs_still_work_end_to_end(self):
-        with pytest.warns(DeprecationWarning):
-            server = StagedSoapServer(
-                [make_echo_service()],
-                transport=InProcTransport(),
-                address="legacy-e2e",
-                app_workers=4,
-            )
-        with server.running():
-            pass
-
-    def test_config_and_legacy_kwargs_conflict(self):
-        with pytest.raises(TypeError, match="either"):
-            StagedSoapServer(
-                [make_echo_service()],
-                config=ServerConfig(services=[make_echo_service()]),
-                transport=InProcTransport(),
-            )
-
-    def test_unknown_legacy_kwarg_raises_type_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="bogus_knob"):
-                StagedSoapServer([make_echo_service()], bogus_knob=1)
-
-    def test_common_rejects_staged_only_kwargs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="app_workers"):
-                CommonSoapServer([make_echo_service()], app_workers=4)
+class TestLifecycle:
+    def test_idle_tcp_server_stops_promptly(self):
+        # Closing the listener must wake the accept() blocked in the
+        # http-accept thread; a bare close() does not on Linux, and
+        # stop() then waits out its whole join timeout.
+        server = build_server(ServerConfig(
+            services=[make_echo_service()], transport=TcpTransport()
+        ))
+        server.start()
+        accept_thread = server.http._accept_thread
+        time.sleep(0.1)  # let the accept thread park in accept()
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept_thread.is_alive()

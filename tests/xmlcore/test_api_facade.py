@@ -1,8 +1,8 @@
-"""The unified parse facade and the deprecated alias layer.
+"""The unified parse facade and the last deprecated alias.
 
 The redesign collapses entry points to ``repro.xmlcore.parse`` and
-``Envelope.parse``; the historical names stay as thin aliases that
-behave identically but announce themselves with a DeprecationWarning
+``Envelope.parse``; ``repro.xmlcore.parser.parse`` stays as a thin alias
+that behaves identically but announces itself with a DeprecationWarning
 exactly once per call site (Python's default warning filter dedups on
 location, so a loop over a deprecated alias warns once, not N times).
 """
@@ -65,34 +65,6 @@ class TestDeprecatedAliases:
         assert len(caught) == 1
         assert caught[0].category is DeprecationWarning
         assert "repro.xmlcore.parse" in str(caught[0].message)
-
-    @pytest.mark.parametrize(
-        "alias, server",
-        [("from_string", True), ("from_string_pull", False), ("from_string_server", True)],
-    )
-    def test_envelope_aliases_match_parse(self, alias, server):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            envelope = getattr(Envelope, alias)(ENVELOPE)
-        assert len(caught) == 1
-        assert caught[0].category is DeprecationWarning
-        assert "Envelope.parse" in str(caught[0].message)
-        reference = Envelope.parse(ENVELOPE, server=server)
-        assert envelope.first_body_entry().structurally_equal(
-            reference.first_body_entry()
-        )
-        assert len(envelope.header_entries) == len(reference.header_entries)
-
-    def test_element_attributes_view_works_and_warns(self):
-        element = Element("e", {"a": "1"})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            view = element.attributes
-            view["b"] = "2"
-            assert view["a"] == "1"
-        assert element.get("b") == "2"
-        assert all(w.category is DeprecationWarning for w in caught)
-        assert caught, "attribute access must warn"
 
     def test_warning_dedup_is_once_per_call_site(self):
         with warnings.catch_warnings(record=True) as caught:
